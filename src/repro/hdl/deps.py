@@ -7,21 +7,38 @@ behind the paper's claim that state checkpoints give *targeted* fixes.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.hdl.design import Design
 
 
-def dependency_graph(design: Design) -> "nx.DiGraph":
+class DependencyGraph(dict):
+    """Adjacency sets: ``graph[a]`` holds every ``b`` with an edge ``a -> b``."""
+
+    def add_edge(self, source: str, target: str) -> None:
+        self.setdefault(source, set()).add(target)
+        self.setdefault(target, set())
+
+    def has_edge(self, source: str, target: str) -> bool:
+        return target in self.get(source, ())
+
+    def reversed(self) -> "DependencyGraph":
+        """The same graph with every edge flipped."""
+        flipped = DependencyGraph((node, set()) for node in self)
+        for source, targets in self.items():
+            for target in targets:
+                flipped[target].add(source)
+        return flipped
+
+
+def dependency_graph(design: Design) -> DependencyGraph:
     """Directed graph with an edge ``a -> b`` when ``a`` influences ``b``.
 
     Both combinational and clocked processes contribute edges from every
     read signal to every written signal; clock/reset edge sources also
     influence the registers their process writes.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(design.signals)
-    graph.add_nodes_from(design.memories)
+    graph = DependencyGraph(
+        (name, set()) for name in (*design.signals, *design.memories)
+    )
     for proc in design.processes:
         sources = set(proc.reads)
         for _, clock in proc.edges:
@@ -33,20 +50,28 @@ def dependency_graph(design: Design) -> "nx.DiGraph":
     return graph
 
 
+def _reachable(graph: DependencyGraph, start: str) -> frozenset[str]:
+    """``start`` plus every node reachable from it (empty if unknown)."""
+    if start not in graph:
+        return frozenset()
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in graph[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
+
+
 def cone_of_influence(design: Design, signal: str) -> frozenset[str]:
     """All signals transitively affected by ``signal`` (inclusive)."""
-    graph = dependency_graph(design)
-    if signal not in graph:
-        return frozenset()
-    return frozenset(nx.descendants(graph, signal) | {signal})
+    return _reachable(dependency_graph(design), signal)
 
 
 def fan_in_cone(design: Design, signal: str) -> frozenset[str]:
     """All signals that can transitively affect ``signal`` (inclusive)."""
-    graph = dependency_graph(design)
-    if signal not in graph:
-        return frozenset()
-    return frozenset(nx.ancestors(graph, signal) | {signal})
+    return _reachable(dependency_graph(design).reversed(), signal)
 
 
 def outputs_in_cone(design: Design, signal: str) -> frozenset[str]:

@@ -161,6 +161,9 @@ def _record_checks(
     current: dict[str, int],
     report: TestReport,
 ) -> None:
+    # One snapshot per step, shared by that step's records: every reader
+    # treats ``CheckRecord.inputs`` as read-only.
+    inputs = dict(current)
     for signal, expected in checks.items():
         try:
             actual = sim.peek(signal)
@@ -176,7 +179,7 @@ def _record_checks(
                 expected=expected,
                 actual=actual,
                 ok=_matches(actual, expected),
-                inputs=dict(current),
+                inputs=inputs,
             )
         )
 
