@@ -11,8 +11,8 @@ solve cells -- are instances of one :class:`TieredCache`, a stack of
   across processes and sessions; a truncated or garbage file counts as
   a miss (tracked by the ``corrupt`` counter), never an exception;
 - :class:`RemoteTier` -- a peer solve server reached through the
-  versioned service protocol's ``CacheGet``/``CachePut`` frames, making
-  another machine's memory+disk tiers part of this cache's fabric.
+  service protocol's ``CacheGet``/``CachePut`` frames, making another
+  machine's memory+disk tiers part of this cache's fabric.
 
 Reads are read-through with promotion: a hit at a lower tier is copied
 into every tier above it, so a record fetched from a peer lands in the
@@ -491,6 +491,13 @@ class RemoteTier(CacheTier):
     ``down_cooldown`` seconds, so a restarted or re-joined ring member
     resumes serving without anyone rebuilding tier stacks.
 
+    Every calling thread shares one multiplexed connection (a
+    :class:`~repro.service.client.PeerLink`): requests from concurrent
+    threads interleave on it and replies are matched by request id, so
+    sharing costs no round-trip serialisation.  A failed request closes
+    the client it used; the next request redials.  After :meth:`close`
+    the tier answers every call with a miss and never dials again.
+
     With a :class:`GossipQueue` attached (``attach_queue``), ``put``
     becomes write-behind: the entry is enqueued and delivered by the
     queue's sender thread, retried after transient failures, so gossip
@@ -510,27 +517,22 @@ class RemoteTier(CacheTier):
         max_failures: int = 3,
         down_cooldown: float = 5.0,
     ):
+        from repro.service.client import PeerLink
+
         super().__init__()
         self.address = address
         self.layer = layer
         self.value_type = value_type
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
+        self.link = PeerLink(
+            address, timeout=timeout, connect_timeout=connect_timeout
+        )
         self.writes = writes
         self.max_failures = max_failures
         self.down_cooldown = down_cooldown
         self._down_until = 0.0
         self._queue: "GossipQueue | None" = None
-        # One connection per calling thread: frames are strict
-        # request/reply on a socket, so sharing one connection would
-        # serialize every thread's cache traffic behind a single
-        # in-flight network round-trip.  The lock guards only the
-        # shared counters and the connection registry.
-        self._local = threading.local()
-        self._clients: list = []
         self._failures = 0
         self._lock = threading.Lock()
-        self.closed = False
 
     def describe(self) -> str:
         state = " [down]" if self._down() else ""
@@ -548,48 +550,31 @@ class RemoteTier(CacheTier):
             # rejoined the ring must be rediscovered without a restart.
             return time.monotonic() < self._down_until
 
-    def _connect(self):
-        from repro.service.client import ServiceClient
-
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = ServiceClient(
-                self.address,
-                timeout=self.timeout,
-                connect_timeout=self.connect_timeout,
-            )
-            self._local.client = client
-            with self._lock:
-                self._clients.append(client)
-        return client
-
-    def _drop_connection(self) -> None:
-        client = getattr(self._local, "client", None)
-        if client is None:
-            return
-        self._local.client = None
-        with self._lock:
-            if client in self._clients:
-                self._clients.remove(client)
-        client.close()
+    @property
+    def closed(self) -> bool:
+        return self.link.closed
 
     def _call(self, op: Callable[[Any], Any]) -> Any | None:
-        """Run one request/reply against the peer (this thread's socket).
+        """Run one request/reply against the peer.
 
-        Returns None on any failure (counted); a success resets the
-        consecutive-failure count so a recovered peer resumes serving.
+        Returns None on any failure (counted) and once the tier is
+        closed; a success resets the consecutive-failure count so a
+        recovered peer resumes serving.
         """
-        if self._down():
+        if self._down() or self.closed:
             return None
+        client = None
         try:
-            result = op(self._connect())
+            client = self.link.get()
+            result = op(client)
         except Exception:  # noqa: BLE001 -- peers are best-effort
             with self._lock:
                 self.stats.errors += 1
                 self._failures += 1
                 if self._failures >= self.max_failures:
                     self._down_until = time.monotonic() + self.down_cooldown
-            self._drop_connection()
+            if client is not None:
+                client.close()  # the next call redials
             return None
         with self._lock:
             self._failures = 0
@@ -658,11 +643,7 @@ class RemoteTier(CacheTier):
         return True
 
     def close(self) -> None:
-        self.closed = True
-        with self._lock:
-            clients, self._clients = self._clients, []
-        for client in clients:
-            client.close()
+        self.link.close()
 
 
 class GossipQueue:
@@ -824,10 +805,13 @@ class GossipQueue:
             }
 
     def close(self, drain_timeout: float = 2.0) -> None:
-        """Stop the sender: brief best-effort drain, then drop the rest."""
+        """Stop the sender: brief best-effort drain, then drop the rest
+        (``drain_timeout=0`` drops the whole backlog undelivered)."""
         self.flush(timeout=drain_timeout)
         with self._state:
             self._closed = True
+            self.dropped += len(self._entries)
+            self._entries.clear()
             self._state.notify_all()
         thread = self._thread
         if thread is not None:
@@ -880,6 +864,7 @@ class TieredCache:
         self._lock = threading.Lock()
         self._gossip: GossipQueue | None = None
         self._write_behind = write_behind
+        self._closed = False
         if tiers is not None:
             self._tiers = list(tiers)
         else:
@@ -1078,7 +1063,7 @@ class TieredCache:
         """
         wanted = tuple(dict.fromkeys(addresses))
         current = self.peers
-        if tuple(sorted(wanted)) == tuple(sorted(current)):
+        if self._closed or tuple(sorted(wanted)) == tuple(sorted(current)):
             return False
         keep: list[CacheTier] = []
         dropped: list[RemoteTier] = []
@@ -1123,9 +1108,13 @@ class TieredCache:
         """Per-tier stats rows (the ``cache`` CLI / service surfaces)."""
         return [tier.report() for tier in self._tiers]
 
-    def close(self) -> None:
+    def close(self, drain_timeout: float = 2.0) -> None:
+        """Close the remote tiers, first giving the write-behind backlog
+        up to ``drain_timeout`` seconds to deliver (0 drops it).  A
+        closed cache ignores later :meth:`set_peers` calls."""
+        self._closed = True
         if self._gossip is not None:
-            self._gossip.close()
+            self._gossip.close(drain_timeout=drain_timeout)
         for tier in self._tiers:
             if isinstance(tier, RemoteTier):
                 tier.close()

@@ -1,27 +1,14 @@
-"""Versioned, length-framed JSON wire format for the solve service.
+"""Length-framed JSON wire format for the solve service (protocol v3).
 
 One frame on the wire is a 4-byte big-endian payload length followed by
 a UTF-8 JSON object.  Every payload carries ``"v"`` (the protocol
-version) and ``"type"`` (which frame dataclass below it deserialises
-to).  Three protocol generations share this framing:
+version, always :data:`PROTOCOL_VERSION`), ``"type"`` (which frame
+dataclass below it deserialises to), and ``"id"`` (the request id).  A
+client may interleave any number of in-flight requests on one
+connection: replies are matched by id, not by order.  A frame stamped
+with any other version is refused with a typed error.
 
-- **v1** -- the original strictly client-driven conversation: one
-  request on the wire at a time, replies in request order;
-- **v2** -- v1 plus the cache-fabric and work-stealing frames
-  (``CacheGet``/``CachePut``/``WaveSteal``/``WaveTasks``);
-- **v3** -- multiplexing: every frame carries ``id`` (the request id),
-  and a client may interleave any number of in-flight requests on one
-  connection -- replies are matched by id, not by order.  v3 also adds
-  the peer-discovery frames ``PeerHello``/``PeerList`` that servers use
-  to form an elastic consistent-hash ring.
-
-Readers accept any supported version and remember which one the peer
-spoke, so a v3 server answers a legacy v1/v2 client in its own dialect
-(legacy clients pipeline strictly one request at a time, which is a
-degenerate -- and therefore automatically compatible -- multiplexing
-schedule).  Unknown versions are rejected with a typed error.
-
-The per-request conversation is unchanged across versions:
+The per-request conversations:
 
 - ``SolveRequest``  -> :class:`Ack`, then zero or more
   :class:`EventFrame` (the run's typed event stream, live on a cold
@@ -67,17 +54,8 @@ from typing import Any, BinaryIO, ClassVar
 
 from repro.core.events import Event
 
-#: The version this process speaks natively (stamped on outgoing frames
-#: unless a reply deliberately echoes a legacy peer's version).
+#: The one version this process speaks and reads.
 PROTOCOL_VERSION = 3
-
-#: Versions this process can read.  v1/v2 peers predate multiplexing;
-#: their frames are valid v3 frames with a degenerate (one-at-a-time)
-#: schedule, so accepting them *is* the compat shim.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3})
-
-#: Versions whose speakers must be answered in their own dialect.
-LEGACY_VERSIONS = frozenset({1, 2})
 
 # Generous ceiling: frames hold one JSON-encoded event or result, not
 # bulk data.  Anything larger is a corrupt or hostile stream.
@@ -335,23 +313,24 @@ class StatsReply(Frame):
     stats: dict
 
 
-def encode_frame(frame: Frame, version: int = PROTOCOL_VERSION) -> bytes:
-    """Length-prefixed wire bytes for one frame.
-
-    ``version`` stamps the payload -- servers pass the version the
-    connection's client spoke so legacy peers get replies in their own
-    dialect.
-    """
+def encode_frame(frame: Frame) -> bytes:
+    """Length-prefixed wire bytes for one frame."""
     payload = frame.to_wire()
-    payload["v"] = version
+    payload["v"] = PROTOCOL_VERSION
     data = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
     if len(data) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame too large ({len(data)} bytes)")
     return _HEADER.pack(len(data)) + data
 
 
-def decode_payload_versioned(data: bytes) -> tuple[Frame, int]:
-    """Parse one frame payload; returns ``(frame, spoken version)``."""
+def decode_payload_versioned(data: bytes) -> Frame:
+    """Parse one frame payload (the bytes after the length header).
+
+    The version check is exact: only a plain int equal to
+    :data:`PROTOCOL_VERSION` passes (``True``, ``3.0``, ``"3"`` do not).
+    The name is kept because the benchmark's layer tracer wraps the
+    decoder by it.
+    """
     try:
         payload = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -359,28 +338,18 @@ def decode_payload_versioned(data: bytes) -> tuple[Frame, int]:
     if not isinstance(payload, dict):
         raise ProtocolError("frame payload is not an object")
     version = payload.get("v")
-    if (
-        not isinstance(version, int)
-        or isinstance(version, bool)
-        or version not in SUPPORTED_VERSIONS
-    ):
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: got {version!r}, "
-            f"want one of {sorted(SUPPORTED_VERSIONS)}"
+            f"want {PROTOCOL_VERSION}"
         )
     frame_cls = FRAME_TYPES.get(payload.get("type"))
     if frame_cls is None or frame_cls is Frame:
         raise ProtocolError(f"unknown frame type {payload.get('type')!r}")
     try:
-        return frame_cls.from_wire(payload), version
+        return frame_cls.from_wire(payload)
     except TypeError as exc:
         raise ProtocolError(f"bad {frame_cls.type} frame: {exc}") from exc
-
-
-def decode_payload(data: bytes) -> Frame:
-    """Parse one frame payload (the bytes after the length header)."""
-    frame, _ = decode_payload_versioned(data)
-    return frame
 
 
 def read_frame(stream: BinaryIO) -> Frame | None:
@@ -393,14 +362,6 @@ def read_frame(stream: BinaryIO) -> Frame | None:
     bytes raise plain :class:`ProtocolError`.  Neither hangs or returns
     a partial frame.
     """
-    frame_and_version = read_frame_versioned(stream)
-    if frame_and_version is None:
-        return None
-    return frame_and_version[0]
-
-
-def read_frame_versioned(stream: BinaryIO) -> tuple[Frame, int] | None:
-    """Like :func:`read_frame`, but also reports the spoken version."""
     header = b""
     while len(header) < _HEADER.size:
         chunk = stream.read(_HEADER.size - len(header))
@@ -421,21 +382,18 @@ def read_frame_versioned(stream: BinaryIO) -> tuple[Frame, int] | None:
     return decode_payload_versioned(data)
 
 
-def write_frame(
-    stream: BinaryIO, frame: Frame, version: int = PROTOCOL_VERSION
-) -> None:
+def write_frame(stream: BinaryIO, frame: Frame) -> None:
     """Serialise and flush one frame."""
-    stream.write(encode_frame(frame, version=version))
+    stream.write(encode_frame(frame))
     stream.flush()
 
 
-async def read_frame_async(reader) -> tuple[Frame, int] | None:
-    """Async twin of :func:`read_frame_versioned` for asyncio streams.
+async def read_frame_async(reader) -> Frame | None:
+    """Async twin of :func:`read_frame` for asyncio streams.
 
-    Returns ``(frame, spoken version)``, or None on clean EOF at a
-    frame boundary; raises :class:`PeerGone` on EOF mid-frame and
-    :class:`ProtocolError` on corrupt bytes, never hangs on a short
-    read.
+    Returns the frame, or None on clean EOF at a frame boundary; raises
+    :class:`PeerGone` on EOF mid-frame and :class:`ProtocolError` on
+    corrupt bytes, never hangs on a short read.
     """
     import asyncio
 
@@ -453,11 +411,3 @@ async def read_frame_async(reader) -> tuple[Frame, int] | None:
     except asyncio.IncompleteReadError as exc:
         raise PeerGone("truncated frame body") from exc
     return decode_payload_versioned(data)
-
-
-async def write_frame_async(
-    writer, frame: Frame, version: int = PROTOCOL_VERSION
-) -> None:
-    """Serialise one frame to an asyncio writer and drain it."""
-    writer.write(encode_frame(frame, version=version))
-    await writer.drain()

@@ -5,11 +5,8 @@ client connection on a single asyncio event loop: one reader coroutine
 and one writer task per connection, with each *request* dispatched to a
 thread pool.  Frames carry request ids, so any number of requests can
 be in flight on one connection and their reply streams interleave
-frame-by-frame -- a v3 multiplexing client runs a whole grid shard over
-one socket.  Legacy v1/v2 clients pipeline strictly one request at a
-time, which is simply a degenerate schedule of the same machinery;
-replies echo the client's protocol version, so old clients never see a
-frame dialect they don't speak.
+frame-by-frame -- a multiplexing client runs a whole grid shard over
+one socket.
 
 Requests route through a shared :class:`~repro.service.broker.Broker`
 into a pool of long-lived :class:`~repro.service.worker.Worker`
@@ -114,9 +111,6 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.loop = asyncio.get_running_loop()
-        # The protocol version this client speaks (from its last frame);
-        # replies are stamped with it, which is the whole legacy shim.
-        self.version = PROTOCOL_VERSION
         self._outbox: asyncio.Queue = asyncio.Queue()
         self._tasks: set = set()
         self._closed = False
@@ -152,7 +146,7 @@ class _Connection:
 
     def _encode(self, frame: Frame) -> bytes:
         try:
-            return encode_frame(frame, version=self.version)
+            return encode_frame(frame)
         except ProtocolError as exc:
             # The frame itself is unsendable (e.g. a payload past the
             # frame ceiling); tell the client with a typed error rather
@@ -161,8 +155,7 @@ class _Connection:
                 ErrorFrame(
                     id=getattr(frame, "id", 0),
                     message=f"unsendable reply: {exc}",
-                ),
-                version=self.version,
+                )
             )
 
     async def _write_loop(self) -> None:
@@ -194,16 +187,14 @@ class _Connection:
         try:
             while True:
                 try:
-                    item = await read_frame_async(self.reader)
+                    frame = await read_frame_async(self.reader)
                 except PeerGone:
                     break  # client died mid-frame
                 except ProtocolError as exc:
                     self._enqueue(ErrorFrame(id=0, message=str(exc)))
                     break
-                if item is None:
+                if frame is None:
                     break  # clean EOF
-                frame, version = item
-                self.version = version
                 if not self._dispatch(frame):
                     break  # shutdown request: close after the ack
         finally:
@@ -275,7 +266,9 @@ class SolveServer:
     peer ring -- and answers the same ``CacheGet``/``CachePut`` frames
     for its peers in turn.  Default-built caches gossip write-behind:
     a worker's ``CachePut`` to peers rides a background queue, never
-    the solve path.
+    the solve path.  They are also the server's to close: shutdown
+    closes them (and their peer connections), while a cache instance
+    the caller passed in stays open.
 
     ``join`` bootstraps the elastic ring: each address is sent a
     ``PeerHello`` on start and the membership it answers with is
@@ -328,6 +321,14 @@ class SolveServer:
         self.solve_cache = self._resolve(
             solve_cache, SolveCellCache, self._static_peers
         )
+        self._owned_caches = [
+            cache
+            for cache, given in (
+                (self.sim_cache, sim_cache),
+                (self.solve_cache, solve_cache),
+            )
+            if given is None or given is True
+        ]
         if gateway is None:
             from repro.llm.gateway.settings import GatewaySettings
 
@@ -349,6 +350,8 @@ class SolveServer:
         )
         self._listen_sock.bind((host, port))
         self._listen_sock.listen(128)
+        bound_host, bound_port = self._listen_sock.getsockname()[:2]
+        self.address = f"{bound_host}:{bound_port}"
         self.advertised = advertise or self.address
         self.directory = PeerDirectory(
             self.advertised, on_change=self._membership_changed
@@ -412,11 +415,6 @@ class SolveServer:
         if cache is None or cache is True:
             return default_cls(peers=peers, write_behind=True)
         return cache
-
-    @property
-    def address(self) -> str:
-        host, port = self._listen_sock.getsockname()[:2]
-        return f"{host}:{port}"
 
     def cassette(self):
         """The server's cassette store, or None without a gateway."""
@@ -489,7 +487,7 @@ class SolveServer:
         async def boot() -> None:
             self._listen_sock.setblocking(False)
             self._async_server = await asyncio.start_server(
-                self._serve_connection, sock=self._listen_sock
+                self._accept, sock=self._listen_sock
             )
 
         try:
@@ -499,20 +497,29 @@ class SolveServer:
         try:
             loop.run_forever()
         finally:
-            # Drain cancellations and close whatever is still open.
+            # Sever what is still open (a connection accepted just
+            # before a kill may never have run its task), cancel the
+            # tasks, and run the loop once more so the aborts land.
             try:
+                for conn in list(self._connections):
+                    conn.abort()
                 pending = asyncio.all_tasks(loop)
                 for task in pending:
                     task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
             except Exception:  # noqa: BLE001 -- best-effort teardown
                 pass
             loop.close()
 
-    async def _serve_connection(self, reader, writer) -> None:
+    def _accept(self, reader, writer):
+        """Register an accepted connection; returns its serving coroutine.
+
+        A plain function, not a coroutine: asyncio calls it inside
+        ``connection_made``, so even a connection whose task a kill
+        cancels before it first runs is in ``_connections`` to abort.
+        """
         # asyncio only disables Nagle for sockets created with
         # IPPROTO_TCP; without this a reply's back-to-back frames stall
         # on the client's delayed ACK (~40 ms per cached hit).
@@ -524,6 +531,9 @@ class SolveServer:
             pass  # the client is already gone; run() sees the EOF
         conn = _Connection(self, reader, writer)
         self._connections.add(conn)
+        return self._serve_connection(conn)
+
+    async def _serve_connection(self, conn: _Connection) -> None:
         try:
             await conn.run()
         except asyncio.CancelledError:
@@ -560,6 +570,15 @@ class SolveServer:
 
     async def _close_listener(self) -> None:
         if self._async_server is not None:
+            # Stop accepting, then yield once so accepts already under
+            # way attach their transports: closing the asyncio server
+            # first strands such a connection's socket, open, inside a
+            # half-built transport.
+            try:
+                self._loop.remove_reader(self._listen_sock.fileno())
+            except NotImplementedError:
+                pass  # proactor loops have no reader to remove
+            await asyncio.sleep(0)
             self._async_server.close()
             try:
                 await self._async_server.wait_closed()
@@ -592,6 +611,8 @@ class SolveServer:
                 # Never started: just release the port.
                 self._listen_sock.close()
                 self._stopped.set()
+                for cache in self._owned_caches:
+                    cache.close()
                 return
             self._call_in_loop(self._close_listener())
             self.broker.close()  # queued jobs still drain to workers
@@ -609,6 +630,8 @@ class SolveServer:
             self._stop_loop()
             self._pool.shutdown(wait=False)
             self._stopped.set()
+            for cache in self._owned_caches:
+                cache.close()
 
     def kill(self) -> None:
         """Abrupt stop, as close to SIGKILL as in-process gets.
@@ -633,6 +656,8 @@ class SolveServer:
                 self._listen_sock.close()
             self._pool.shutdown(wait=False)
             self._stopped.set()
+            for cache in self._owned_caches:
+                cache.close(drain_timeout=0.0)  # a crash delivers no gossip
 
     def _stop_loop(self) -> None:
         loop, thread = self._loop, self._loop_thread

@@ -261,12 +261,12 @@ def steal_from_peer(
     simulation error, lost put) degrades to the victim simulating
     locally, never to a wrong or missing result.
     """
-    from repro.service.client import ServiceClient
+    from repro.service.client import MultiplexedClient
 
     if stats is not None:
         stats.count("steal_attempts")
     executed = 0
-    with ServiceClient(address, timeout=timeout) as client:
+    with MultiplexedClient(address, timeout=timeout) as client:
         pairs = client.wave_steal(max_items=max_items)
         for key, blob in pairs:
             task = decode_value(blob, ScoreTask)

@@ -30,7 +30,7 @@ from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecut
 from repro.runtime.rollout import RolloutRequest, RolloutScheduler
 from repro.service import (
     HashRing,
-    ServiceClient,
+    MultiplexedClient,
     ServiceError,
     SolveServer,
     fetch_peers,
@@ -195,7 +195,7 @@ class TestServicePathParity:
     ):
         for problem_id in PROBLEM_IDS:
             sink = ListSink()
-            with ServiceClient(rollout_server.address) as client:
+            with MultiplexedClient(rollout_server.address) as client:
                 outcome = client.solve(
                     key, problem_id, seed=SEED, events=sink
                 )
@@ -209,7 +209,7 @@ class TestServicePathParity:
         self, serial_reference, rollout_server
     ):
         sink = ListSink()
-        with ServiceClient(rollout_server.address) as client:
+        with MultiplexedClient(rollout_server.address) as client:
             outcome = client.solve(
                 "mage", PROBLEM_IDS[0], seed=SEED, events=sink
             )
@@ -242,7 +242,7 @@ class TestStealRingParity:
         victim, _ = steal_ring
         for problem_id in PROBLEM_IDS:
             sink = ListSink()
-            with ServiceClient(victim.address) as client:
+            with MultiplexedClient(victim.address) as client:
                 outcome = client.solve(
                     key, problem_id, seed=SEED, events=sink
                 )

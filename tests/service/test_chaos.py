@@ -40,7 +40,6 @@ from repro.runtime.cache import SimulationCache, SolveCellCache, SolveCellRecord
 from repro.service import (
     HashRing,
     MultiplexedClient,
-    ServiceClient,
     ServiceError,
     SolveServer,
     fetch_peers,
@@ -215,7 +214,8 @@ def _spawn_ring_server(join=None):
             address = line.removeprefix("listening on ")
             break
     if address is None:
-        proc.kill()
+        with proc:  # closes the stdout pipe and reaps the process
+            proc.kill()
         raise RuntimeError("server process never reported its address")
     return proc, address
 
@@ -306,8 +306,8 @@ class TestRingKillMidGrid:
             )
         finally:
             for proc, _ in servers:
-                proc.kill()
-                proc.wait(timeout=10)
+                with proc:  # closes the stdout pipe and reaps the process
+                    proc.kill()
 
         assert killed.is_set()
         assert result.outcomes == local.outcomes
@@ -337,7 +337,7 @@ class TestGossipPartition:
                 tier = next(
                     t for t in cache.tiers if t.kind == "remote"
                 )
-                tier.connect_timeout = 0.5
+                tier.link.connect_timeout = 0.5
                 tier.down_cooldown = 0.5
                 cache._gossip.retry_interval = 0.1
 
@@ -389,7 +389,7 @@ class TestHalfWrittenFrame:
         retries on a new connection and the row matches an unproxied
         solve exactly."""
         with SolveServer(workers=1) as server:
-            with ServiceClient(server.address) as direct:
+            with MultiplexedClient(server.address) as direct:
                 expected = direct.solve("mage", "cb_kmap_mux", seed=1)
             proxy = ChaosProxy(server.address)
             try:

@@ -32,7 +32,8 @@ def _spawn_server():
     )
     line = proc.stdout.readline().strip()
     if not line.startswith("listening on "):
-        proc.kill()
+        with proc:  # closes the stdout pipe and reaps the process
+            proc.kill()
         raise RuntimeError(f"server failed to start: {line!r}")
     return proc, line.removeprefix("listening on ")
 
@@ -46,14 +47,15 @@ def two_servers():
         yield [address for _, address in started]
     finally:
         for proc, address in started:
-            try:
-                stop_server(address)
-            except (OSError, ServiceError, ValueError):
-                pass
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+            with proc:  # closes the stdout pipe and reaps the process
+                try:
+                    stop_server(address)
+                except (OSError, ServiceError, ValueError):
+                    pass
+                try:
+                    proc.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
 
 
 class TestShardedGrid:

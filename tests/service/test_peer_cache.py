@@ -2,10 +2,13 @@
 the peer-replay serving rung, remote-tier parity across processes, and
 cross-scheduler rollout dedup through the shared fabric."""
 
+import gc
 import io
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ from repro.service import (
     CacheGet,
     CachePut,
     CacheReply,
-    ServiceClient,
+    MultiplexedClient,
     ServiceError,
     SolveServer,
     encode_frame,
@@ -80,7 +83,7 @@ class TestCacheFrames:
 class TestServerCacheFrames:
     def test_put_then_get_round_trips_a_record(self, server):
         record = SolveCellRecord(source="module m; endmodule", system="s")
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.cache_put("solve", "k1", encode_value(record))
             blob = client.cache_get("solve", "k1")
         assert blob is not None
@@ -89,7 +92,7 @@ class TestServerCacheFrames:
         assert server.stats.snapshot()["peer_hits"] == 1
 
     def test_missing_key_is_not_found(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.cache_get("solve", "absent") is None
         snapshot = server.stats.snapshot()
         assert snapshot["peer_gets"] == 1
@@ -99,16 +102,16 @@ class TestServerCacheFrames:
         """A solve-cell record cannot be pushed into the sim layer: the
         receiver type-guards like a disk-tier read."""
         record = SolveCellRecord(source="x", system="s")
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert not client.cache_put("sim", "k", encode_value(record))
             assert client.cache_get("sim", "k") is None
 
     def test_garbage_blob_is_refused(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert not client.cache_put("solve", "k", "!!not-base64!!")
 
     def test_unknown_layer_is_a_miss(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.cache_get("martian", "k") is None
             assert not client.cache_put("martian", "k", encode_value(1))
 
@@ -127,6 +130,35 @@ class TestRemoteTier:
         assert reader.stats.hits == 1
         writer.close()
         reader.close()
+
+    def test_one_tier_holds_one_connection(self, server):
+        """Every calling thread shares the tier's one multiplexed
+        connection, and closing the tier releases it cleanly."""
+        record = SolveCellRecord(source="module m; endmodule", system="s")
+        server.solve_cache.put("k", record)
+        tier = RemoteTier(
+            server.address, layer="solve", value_type=SolveCellRecord
+        )
+        results = []
+
+        def reader():
+            results.extend(tier.get("k") for _ in range(25))
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert results == [record] * 100
+        assert tier.stats.hits == 100 and tier.stats.errors == 0
+        assert len(server._connections) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tier.close()
+            gc.collect()
+        assert tier.closed
+        assert not [w for w in caught if w.category is ResourceWarning]
+        assert tier.get("k") is None  # a closed tier never redials
 
     def test_dead_peer_is_a_fast_miss_then_marked_down(self):
         tier = RemoteTier(
@@ -157,6 +189,31 @@ class TestRemoteTier:
         local.close()
 
 
+class TestServerOwnedCaches:
+    @pytest.mark.parametrize("stop", ["shutdown", "kill"])
+    def test_stopping_closes_the_caches_the_server_built(self, server, stop):
+        own = SolveServer(workers=1, cache_peers=[server.address]).start()
+        tiers = [
+            tier
+            for cache in (own.sim_cache, own.solve_cache)
+            for tier in cache.tiers
+            if isinstance(tier, RemoteTier)
+        ]
+        getattr(own, stop)()
+        assert len(tiers) == 2
+        assert all(tier.closed for tier in tiers)
+
+    def test_a_caller_passed_cache_stays_open(self, server):
+        mine = SolveCellCache(peers=(server.address,))
+        try:
+            with SolveServer(workers=1, solve_cache=mine):
+                pass
+            (tier,) = [t for t in mine.tiers if isinstance(t, RemoteTier)]
+            assert not tier.closed
+        finally:
+            mine.close()
+
+
 class TestPeerReplayServing:
     def test_cold_server_serves_peer_warm_cell_without_executing(self):
         """The serving ladder's peer-replay rung: a cell warm on A is
@@ -164,7 +221,7 @@ class TestPeerReplayServing:
         source, same typed event stream, zero pipeline executions."""
         with SolveServer(workers=1) as warm:
             sink_a = ListSink()
-            with ServiceClient(warm.address) as client:
+            with MultiplexedClient(warm.address) as client:
                 outcome_a = client.solve(
                     "mage", "cb_kmap_mux", seed=0, events=sink_a
                 )
@@ -173,7 +230,7 @@ class TestPeerReplayServing:
                 workers=1, cache_peers=(warm.address,)
             ) as cold:
                 sink_b = ListSink()
-                with ServiceClient(cold.address) as client:
+                with MultiplexedClient(cold.address) as client:
                     outcome_b = client.solve(
                         "mage", "cb_kmap_mux", seed=0, events=sink_b
                     )
@@ -200,7 +257,8 @@ def _spawn_server(extra_args=()):
     )
     line = proc.stdout.readline().strip()
     if not line.startswith("listening on "):
-        proc.kill()
+        with proc:  # closes the stdout pipe and reaps the process
+            proc.kill()
         raise RuntimeError(f"server failed to start: {line!r}")
     return proc, line.removeprefix("listening on ")
 
@@ -258,7 +316,7 @@ class TestRemoteTierParity:
                 DesignTask.from_problem(problems[0]), seed=0, sink=local_sink
             )
             remote_sink = ListSink()
-            with ServiceClient(addr_b) as client:
+            with MultiplexedClient(addr_b) as client:
                 client.solve(
                     "mage", problems[0].id, seed=0, events=remote_sink
                 )
@@ -267,14 +325,15 @@ class TestRemoteTierParity:
             )
         finally:
             for proc, address in started:
-                try:
-                    stop_server(address)
-                except (OSError, ServiceError, ValueError):
-                    pass
-                try:
-                    proc.wait(timeout=30)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+                with proc:  # closes the stdout pipe and reaps the process
+                    try:
+                        stop_server(address)
+                    except (OSError, ServiceError, ValueError):
+                        pass
+                    try:
+                        proc.wait(timeout=30)
+                    except subprocess.TimeoutExpired:
+                        proc.kill()
 
 
 def _rollout_request(problem_id, seed=1):
@@ -309,10 +368,8 @@ class TestCrossSchedulerDedup:
     def test_cross_scheduler_dedup_through_a_peer(self, server):
         """Two schedulers sharing no memory dedup through the peer ring:
         B's score wave is served entirely by what A gossiped."""
-        scheduler_a = RolloutScheduler(
-            executor=SerialExecutor(),
-            cache=SimulationCache(peers=(server.address,)),
-        )
+        cache_a = SimulationCache(peers=(server.address,))
+        scheduler_a = RolloutScheduler(executor=SerialExecutor(), cache=cache_a)
         result_a = scheduler_a.run([_rollout_request("fs_vending")])[0]
         assert result_a.error is None
         assert scheduler_a.dedup.executed > 0
@@ -335,3 +392,5 @@ class TestCrossSchedulerDedup:
         assert scheduler_b.dedup.remote_hits > 0
         assert simulation_count() == sims_before
         assert fresh_cache.stats.remote_hits > 0
+        cache_a.close()
+        fresh_cache.close()

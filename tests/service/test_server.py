@@ -1,6 +1,10 @@
 """End-to-end server tests: streaming, caching, dedup, drain."""
 
+import json
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -8,7 +12,15 @@ from repro.baselines.registry import SYSTEMS
 from repro.core.events import ListSink
 from repro.core.task import DesignTask
 from repro.evalsets import get_problem, golden_testbench
-from repro.service import ServiceClient, ServiceError, SolveServer
+from repro.service import (
+    ErrorFrame,
+    MultiplexedClient,
+    ServiceError,
+    SolveRequest,
+    SolveServer,
+    parse_address,
+    read_frame,
+)
 from repro.tb.runner import run_testbench
 
 
@@ -26,7 +38,7 @@ class TestSolveStream:
         local_source = system.solve(task, seed=0, sink=local_sink)
 
         remote_sink = ListSink()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             outcome = client.solve(
                 "mage", "cb_kmap_mux", seed=0, events=remote_sink
             )
@@ -46,44 +58,52 @@ class TestSolveStream:
         assert outcome.passed == golden.passed
         assert outcome.score == golden.score
 
-    def test_iter_solve_yields_events_then_outcome(self, server):
-        with ServiceClient(server.address) as client:
-            iterator = client.iter_solve("mage", "cb_mux2", seed=0)
-            kinds = [event.kind for event in iterator]
-            outcome = client.last_outcome
-        assert kinds[0] == "run-started"
-        assert kinds[-1] == "run-finished"
-        assert outcome is not None and outcome.source
-
-    def test_abandoned_stream_keeps_connection_usable(self, server):
-        """Breaking out of iter_solve mid-stream must not desync the
-        next request on the same connection."""
-        with ServiceClient(server.address) as client:
-            iterator = client.iter_solve("mage", "fs_vending", seed=1)
-            first = next(iterator)
-            assert first.kind == "run-started"
-            iterator.close()  # abandon mid-stream; reply is drained
-            outcome = client.solve("mage", "cb_mux2", seed=0)
-            assert outcome.source
+    def test_abandoned_request_does_not_desync_the_connection(self, server):
+        """A solve whose caller times out on a cold cell raises; its
+        stragglers (ack, events, done) still arrive on the shared
+        socket, and the reader drops them while the same client goes on
+        serving the next requests."""
+        with MultiplexedClient(server.address, timeout=0.0) as client:
+            with pytest.raises(ServiceError, match="timed out"):
+                client.solve("mage", "fs_vending", seed=1, events=ListSink())
+            client.timeout = 120.0
+            sink = ListSink()
+            outcome = client.solve("mage", "cb_mux2", seed=0, events=sink)
+            # Let the abandoned cell finish, so its frames reach the
+            # reader while the connection is still in use.
+            deadline = time.monotonic() + 60.0
+            while server.executed_count() < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert server.executed_count() == 2
+            again = client.solve("mage", "cb_mux2", seed=0)
+            assert client.ping()
+            assert not client.closed
+        local = SYSTEMS["mage"].factory().solve(
+            DesignTask.from_problem(get_problem("cb_mux2")), seed=0
+        )
+        assert outcome.source == local
+        assert sink.events[0].kind == "run-started"
+        assert sink.events[-1].kind == "run-finished"
+        assert again.cached and again.source == local
 
     def test_unknown_system_is_an_error_frame(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
                 client.solve("martian", "cb_mux2")
 
     def test_unknown_problem_is_an_error_frame(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError):
                 client.solve("mage", "no_such_problem")
         # The connection survives an error and serves the next request.
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.solve("mage", "cb_mux2").source
 
 
 class TestWarmServing:
     def test_repeat_submit_is_served_from_cache(self, server):
         first_sink, second_sink = ListSink(), ListSink()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             first = client.solve("mage", "cb_kmap_mux", events=first_sink)
             second = client.solve("mage", "cb_kmap_mux", events=second_sink)
         assert not first.cached and second.cached
@@ -94,7 +114,7 @@ class TestWarmServing:
         assert (second.passed, second.score) == (first.passed, first.score)
 
     def test_warm_serving_never_touches_a_worker(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             client.solve("mage", "cb_mux2")
             before = client.stats()
             client.solve("mage", "cb_mux2")
@@ -108,7 +128,7 @@ class TestWarmServing:
         assert after["broker"]["submitted"] == before["broker"]["submitted"]
 
     def test_stats_snapshot_reports_both_cache_layers(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             client.solve("mage", "cb_mux2")
             stats = client.stats()
         assert stats["caches"]["simulation"]["stores"] > 0
@@ -127,7 +147,7 @@ class TestInFlightDedup:
         barrier = threading.Barrier(clients)
 
         def submit(index):
-            with ServiceClient(server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 barrier.wait()
                 outcomes[index] = client.solve(
                     "mage", "fs_vending", seed=7, events=streams[index]
@@ -166,7 +186,7 @@ class TestRolloutBatchingMode:
         barrier = threading.Barrier(len(ids))
 
         def submit(problem_id):
-            with ServiceClient(rollout_server.address) as client:
+            with MultiplexedClient(rollout_server.address) as client:
                 barrier.wait()
                 outcomes[problem_id] = client.solve(
                     "mage", problem_id, seed=3
@@ -192,7 +212,7 @@ class TestRolloutBatchingMode:
         barrier = threading.Barrier(clients)
 
         def submit(index):
-            with ServiceClient(rollout_server.address) as client:
+            with MultiplexedClient(rollout_server.address) as client:
                 barrier.wait()
                 outcomes[index] = client.solve("mage", "fs_vending", seed=7)
 
@@ -208,29 +228,46 @@ class TestRolloutBatchingMode:
         assert len({o.source for o in outcomes}) == 1
 
     def test_unknown_system_fails_only_its_job(self, rollout_server):
-        with ServiceClient(rollout_server.address) as client:
+        with MultiplexedClient(rollout_server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
                 client.solve("martian", "cb_mux2")
             assert client.solve("mage", "cb_mux2", seed=1).source
 
     def test_stats_report_batching_mode(self, rollout_server):
-        with ServiceClient(rollout_server.address) as client:
+        with MultiplexedClient(rollout_server.address) as client:
             stats = client.stats()
         assert stats["rollout_batch"] == 3
 
 
 class TestLifecycle:
+    def test_v1_request_is_refused_with_a_version_error(self, server):
+        """The server speaks only v3: a raw v1 submit gets a typed
+        error naming the mismatch, then the connection closes."""
+        payload = SolveRequest(id=1, system="mage", problem="cb_mux2").to_wire()
+        payload["v"] = 1
+        body = json.dumps(payload).encode()
+        with socket.create_connection(
+            parse_address(server.address), timeout=30
+        ) as sock:
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            with sock.makefile("rb") as stream:
+                reply = read_frame(stream)
+                assert read_frame(stream) is None
+        assert isinstance(reply, ErrorFrame)
+        assert "protocol version mismatch" in reply.message
+        assert server.executed_count() == 0
+
     def test_ping(self, server):
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             assert client.ping()
 
     def test_client_initiated_graceful_shutdown(self):
         server = SolveServer(workers=1).start()
-        with ServiceClient(server.address) as client:
+        with MultiplexedClient(server.address) as client:
             client.shutdown_server()
         assert server.wait(timeout=30)
         with pytest.raises(OSError):
-            ServiceClient(server.address, timeout=2)
+            MultiplexedClient(server.address, timeout=2)
 
     def test_shutdown_is_idempotent(self):
         server = SolveServer(workers=1).start()
@@ -242,4 +279,4 @@ class TestLifecycle:
         server = SolveServer(workers=1).start()
         server.shutdown()
         with pytest.raises(OSError):
-            ServiceClient(server.address, timeout=2)
+            MultiplexedClient(server.address, timeout=2)

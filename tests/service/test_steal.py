@@ -15,7 +15,7 @@ from repro.evalsets import get_problem, golden_testbench
 from repro.runtime.cache import SimulationCache, simulation_key
 from repro.runtime.rollout import ScoreTask, StealBoard, rollout_score
 from repro.service import (
-    ServiceClient,
+    MultiplexedClient,
     ServiceStats,
     SolveServer,
     steal_from_peer,
@@ -82,7 +82,7 @@ class TestStealRoundTrip:
         locally', never to a wrong result on either side."""
         task, key = _golden_task("cb_mux2")
         victim.steal_board.publish([(key, task)])
-        with ServiceClient(victim.address) as client:
+        with MultiplexedClient(victim.address) as client:
             pairs = client.wave_steal(max_items=4)
             assert [k for k, _ in pairs] == [key]
             # Hand back garbage instead of a report: the decode guard
