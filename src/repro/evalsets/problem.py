@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class Problem:
             raise ValueError(f"{self.id}: clocked problem needs a clock")
 
     def design(self) -> Design:
-        """The compiled golden design (cached)."""
-        return _compile_cached(self.golden, self.top)
+        """The compiled golden design (memoized by content)."""
+        return compile_design(self.golden, self.top)
 
     @property
     def data_inputs(self) -> tuple[str, ...]:
@@ -72,11 +71,6 @@ class Problem:
     def seed_for(self, salt: int = 0) -> int:
         """Stable per-problem RNG seed."""
         return (zlib.crc32(self.id.encode()) + salt * 9973) & 0x7FFFFFFF
-
-
-@lru_cache(maxsize=256)
-def _compile_cached(source: str, top: str) -> Design:
-    return compile_design(source, top)
 
 
 def register_problem(problem: Problem) -> Problem:
@@ -153,7 +147,7 @@ def derive_testbench(
     reset) are skipped; partially-unknown outputs keep their ``x`` bits
     as don't-cares.
     """
-    design = _compile_cached(source, top)
+    design = compile_design(source, top)
     probe_checks = {
         out: LogicVec.all_x(design.signals[out].width) for out in outputs
     }
@@ -200,15 +194,27 @@ def derive_testbench(
 def golden_testbench(
     problem: Problem, n_random: int | None = None, seed: int = 0
 ) -> Testbench:
-    """The benchmark's hidden golden testbench for ``problem``."""
-    steps = input_steps(problem, n_random, seed)
-    return derive_testbench(
-        problem.golden,
-        problem.top,
-        problem.kind,
-        problem.clock,
-        problem.data_inputs,
-        problem.outputs,
-        steps,
-        name=f"golden_{problem.id}",
-    )
+    """The benchmark's hidden golden testbench for ``problem``.
+
+    Derivation is a pure function of the problem and ``(n_random,
+    seed)``, so the result is memoized on the (immutable) instance; the
+    memo is not a dataclass field, so content keys over the problem do
+    not see it.
+    """
+    key = (problem.n_random if n_random is None else n_random, seed)
+    memo = getattr(problem, "_golden_tbs", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(problem, "_golden_tbs", memo)  # frozen-dataclass memo slot
+    if key not in memo:
+        memo[key] = derive_testbench(
+            problem.golden,
+            problem.top,
+            problem.kind,
+            problem.clock,
+            problem.data_inputs,
+            problem.outputs,
+            input_steps(problem, *key),
+            name=f"golden_{problem.id}",
+        )
+    return memo[key]

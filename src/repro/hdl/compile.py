@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.hdl.design import Design
 from repro.hdl.elaborator import Elaborator
 from repro.hdl.parser import parse_source
@@ -17,10 +19,26 @@ def compile_design(
 
     ``top`` defaults to the last module in the file (matching the common
     convention of placing the top module last).
+
+    Compilation is a pure function of its arguments, so it is memoized
+    by content: lint, testbench runs and golden derivations of the same
+    source share one parse.  The returned :class:`Design` is shared and
+    must be treated as immutable (a :class:`Simulation` only reads it).
+    Errors are not cached; a failing source raises on every call.
     """
+    frozen = tuple(sorted(overrides.items())) if overrides else None
+    return _compile(source, top, frozen)
+
+
+@lru_cache(maxsize=1024)
+def _compile(
+    source: str, top: str | None, overrides: tuple[tuple[str, int], ...] | None
+) -> Design:
     tree = parse_source(source)
     top_name = tree.module(top).name
-    return Elaborator.from_source(tree).elaborate(top_name, overrides)
+    return Elaborator.from_source(tree).elaborate(
+        top_name, dict(overrides) if overrides else None
+    )
 
 
 def simulate(

@@ -136,3 +136,26 @@ def test_shift_matches_python(pair):
 def test_truth_trichotomy(v):
     t = v.truth()
     assert t.is_true() + t.is_false() + t.has_x == 1
+
+
+@given(
+    any_vec(),
+    st.booleans(),
+    st.integers(min_value=1, max_value=72),
+    st.none() | st.booleans(),
+)
+def test_resize_matches_fresh_vector(v, src_signed, width, signed):
+    v = LogicVec(v.width, v.val, v.xmask, src_signed)
+    out_signed = src_signed if signed is None else signed
+    bits = v.to_bits()
+    if width <= v.width:
+        bits = bits[v.width - width:]
+    else:
+        bits = (bits[0] if src_signed else "0") * (width - v.width) + bits
+    fresh = LogicVec.from_bits(bits, out_signed)
+    got = v.resize(width, signed)
+    assert (got.width, got.val, got.xmask, got.signed) == (
+        fresh.width, fresh.val, fresh.xmask, fresh.signed,
+    )
+    if width == v.width and out_signed == src_signed:
+        assert got is v
