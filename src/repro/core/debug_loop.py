@@ -33,71 +33,6 @@ class DebugOutcome:
         return best_candidate(self.survivors)
 
 
-@dataclass(frozen=True)
-class DebugWork:
-    """One debug round's simulations, detached for gang-scheduling.
-
-    The sibling of :class:`repro.core.sampling.SampleWork`: the rollout
-    scheduler coalesces the ``sources`` of many concurrent runs into
-    shared deduplicated score waves, then feeds the reports back through
-    the program's ``debug_step`` hook.  ``testbench`` is the run's
-    *working* (optimized) testbench -- the same one the inline loop
-    scores against -- not the golden one.
-    """
-
-    sources: tuple[str, ...]
-    testbench: Testbench
-    top: str
-
-
-def draw_trials(
-    task: DesignTask,
-    survivors: list[ScoredCandidate],
-    debug_agent: DebugAgent,
-    config: MAGEConfig,
-) -> list[tuple[int, str]]:
-    """Phase 1 of one debug round: draw one trial per active incumbent.
-
-    Serial on purpose -- LLM-call ordering is part of the
-    reproducibility contract, so trials are never reordered by worker
-    count.  Incumbents that already pass, or whose report carries a
-    compile/elaboration error (no signal to debug against), are
-    skipped, exactly as the inline loop does.
-    """
-    trials: list[tuple[int, str]] = []
-    for index, incumbent in enumerate(survivors):
-        if incumbent.passed or incumbent.report.error is not None:
-            continue
-        trial_source = debug_agent.debug(
-            task,
-            incumbent.source,
-            incumbent.report,
-            config.debug_params,
-            use_checkpoints=config.use_checkpoints,
-            window=config.checkpoint_window,
-        )
-        trials.append((index, trial_source))
-    return trials
-
-
-def apply_round(
-    survivors: list[ScoredCandidate],
-    trials: list[tuple[int, str]],
-    reports: list,
-) -> list[ScoredCandidate]:
-    """Phase 2 of one debug round: the Eq. 4 accept/rollback update.
-
-    ``reports`` are the trial scorings in ``trials`` order, however they
-    were produced (inline executor map, or a scheduler score wave --
-    both run the same pure simulation, so results are bit-identical).
-    """
-    updated = list(survivors)
-    for (index, trial_source), report in zip(trials, reports):
-        trial = ScoredCandidate(trial_source, report)
-        updated[index] = better(survivors[index], trial)
-    return updated
-
-
 def debug_candidates(
     task: DesignTask,
     testbench: Testbench,
@@ -109,7 +44,11 @@ def debug_candidates(
 ) -> DebugOutcome:
     """Iteratively refine the Top-K candidate set.
 
-    ``on_round(index, scores)`` streams each appended row of
+    Each round draws one debug trial per active incumbent, scores the
+    trials, and keeps the better of trial and incumbent (Eq. 4).
+    Incumbents that already pass, or whose report carries a
+    compile/elaboration error (no signal to debug against), are
+    skipped.  ``on_round(index, scores)`` streams each appended row of
     ``round_scores`` as it happens (round 0 is the pre-debug selection),
     so event sinks see debugging progress live.
     """
@@ -118,16 +57,36 @@ def debug_candidates(
     if on_round is not None:
         on_round(0, outcome.round_scores[0])
     for _round in range(config.debug_iterations):
-        if any(c.passed for c in outcome.survivors):
+        survivors = outcome.survivors
+        if any(c.passed for c in survivors):
             break
-        trials = draw_trials(task, outcome.survivors, debug_agent, config)
+        # Trials are drawn serially on purpose: LLM-call ordering is
+        # part of the reproducibility contract, so it never depends on
+        # the worker count.
+        trials: list[tuple[int, str]] = []
+        for index, incumbent in enumerate(survivors):
+            if incumbent.passed or incumbent.report.error is not None:
+                continue
+            trial_source = debug_agent.debug(
+                task,
+                incumbent.source,
+                incumbent.report,
+                config.debug_params,
+                use_checkpoints=config.use_checkpoints,
+                window=config.checkpoint_window,
+            )
+            trials.append((index, trial_source))
         # Score the trials -- pure simulation, fanned across the runtime
         # executor with input-order results.
         reports = get_runtime().executor.map(
             lambda source: judge.score(source, testbench, task.top),
             [source for _, source in trials],
         )
-        outcome.survivors = apply_round(outcome.survivors, trials, reports)
+        updated = list(survivors)
+        for (index, trial_source), report in zip(trials, reports):
+            trial = ScoredCandidate(trial_source, report)
+            updated[index] = better(survivors[index], trial)
+        outcome.survivors = updated
         outcome.round_scores.append([c.score for c in outcome.survivors])
         if on_round is not None:
             on_round(len(outcome.round_scores) - 1, outcome.round_scores[-1])

@@ -36,60 +36,6 @@ class SamplingOutcome:
         return max((c.score for c in self.candidates), default=0.0)
 
 
-@dataclass(frozen=True)
-class SampleWork:
-    """The pure-simulation remainder of one run's Step 4.
-
-    Produced by a pipeline's ``sample_plan`` hook after the candidate
-    *generation* ran (LLM calls, in-state order): everything a scheduler
-    needs to score the candidates anywhere -- including another process
-    -- and hand the reports back.  Picklable by construction.
-    """
-
-    sources: tuple[str, ...]
-    testbench: Testbench
-    top: str
-
-
-def generate_candidates(
-    task: DesignTask,
-    tb_text: str,
-    rtl_agent: RTLAgent,
-    config: MAGEConfig,
-) -> list[str]:
-    """The LLM half of Step 4: draw the c high-temperature candidates.
-
-    Always called in the run's own LLM-call order (the determinism
-    contract pins per-run call ordering), whether Step 4 runs inline or
-    a rollout scheduler pre-generates before resuming the state.
-    """
-    count = config.candidates if config.use_sampling else 0
-    if count <= 0:
-        return []
-    return rtl_agent.sample_candidates(task, tb_text, config.generation, count)
-
-
-def rank_candidates(
-    sources: list[str],
-    reports: list,
-    config: MAGEConfig,
-    extra: list[ScoredCandidate] | None = None,
-) -> SamplingOutcome:
-    """The pure half of Step 4: pool the scored candidates, keep Top-K.
-
-    ``reports[i]`` must be the simulation report of ``sources[i]``; the
-    pairing (and therefore the ranking) is order-sensitive, which is why
-    every scoring path returns reports in source order.
-    """
-    outcome = SamplingOutcome()
-    if extra:
-        outcome.candidates.extend(extra)
-    for source, report in zip(sources, reports):
-        outcome.candidates.append(ScoredCandidate(source, report))
-    outcome.selected = select_top_k(outcome.candidates, config.top_k)
-    return outcome
-
-
 def sample_and_rank(
     task: DesignTask,
     tb_text: str,
@@ -104,14 +50,22 @@ def sample_and_rank(
     ``extra`` carries already-scored candidates (the Step-2 initial RTL)
     into the ranking pool so sampling can only improve on them.
     """
-    sources = generate_candidates(task, tb_text, rtl_agent, config)
-    if sources:
-        # Scoring is pure simulation (no LLM calls, no shared state), so
-        # it fans out across the runtime executor; results come back in
-        # source order, keeping the ranking bit-identical to serial.
-        reports = get_runtime().executor.map(
-            lambda source: judge.score(source, testbench, task.top), sources
-        )
-    else:
-        reports = []
-    return rank_candidates(sources, reports, config, extra=extra)
+    count = config.candidates if config.use_sampling else 0
+    sources = (
+        rtl_agent.sample_candidates(task, tb_text, config.generation, count)
+        if count > 0
+        else []
+    )
+    # Scoring is pure simulation (no LLM calls, no shared state), so it
+    # fans out across the runtime executor; results come back in source
+    # order, keeping the ranking bit-identical to serial.
+    reports = get_runtime().executor.map(
+        lambda source: judge.score(source, testbench, task.top), sources
+    )
+    outcome = SamplingOutcome()
+    if extra:
+        outcome.candidates.extend(extra)
+    for source, report in zip(sources, reports):
+        outcome.candidates.append(ScoredCandidate(source, report))
+    outcome.selected = select_top_k(outcome.candidates, config.top_k)
+    return outcome

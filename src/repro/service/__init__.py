@@ -27,7 +27,7 @@ consistent-hash :class:`~repro.service.ring.HashRing` -- so
 cell to the same member, and a member dying mid-sweep only moves its
 own share of the keyspace.  :class:`MultiplexedClient` is the one
 client: any number of concurrent requests -- solves, control ops,
-cache probes, steals, hellos -- over one connection.
+cache probes, hellos -- over one connection.
 """
 
 from repro.service.broker import (
@@ -69,8 +69,6 @@ from repro.service.protocol import (
     ProtocolError,
     SolveRequest,
     StatsReply,
-    WaveSteal,
-    WaveTasks,
     encode_frame,
     read_frame,
     write_frame,
@@ -78,7 +76,6 @@ from repro.service.protocol import (
 from repro.service.ring import HashRing, PeerDirectory, ring_key
 from repro.service.server import SolveServer
 from repro.service.worker import (
-    RolloutWorker,
     ServiceResult,
     ServiceStats,
     Worker,
@@ -86,7 +83,6 @@ from repro.service.worker import (
     registered_system_name,
     serve_cached_record,
     solve_service_request,
-    steal_from_peer,
 )
 
 __all__ = [
@@ -113,7 +109,6 @@ __all__ = [
     "PeerHello",
     "PeerList",
     "ProtocolError",
-    "RolloutWorker",
     "ServiceError",
     "ServiceResult",
     "ServiceStats",
@@ -122,8 +117,6 @@ __all__ = [
     "SolveServer",
     "StatsReply",
     "Subscription",
-    "WaveSteal",
-    "WaveTasks",
     "Worker",
     "encode_frame",
     "fetch_peers",
@@ -139,7 +132,6 @@ __all__ = [
     "serve_cached_record",
     "solve_grid",
     "solve_service_request",
-    "steal_from_peer",
     "stop_server",
     "write_frame",
 ]

@@ -4,9 +4,9 @@
 length-framed protocol: one socket, any number of in-flight requests
 from any number of threads, with reply frames demultiplexed by request
 id on a background reader thread.  Every request shape rides it --
-solves, control ops, cache-fabric probes and puts, wave steals, and
-ring hellos -- so a grid shard's worth of concurrent solves, or a
-remote cache tier's worth of lookups, runs over a single connection.
+solves, control ops, cache-fabric probes and puts, and ring hellos --
+so a grid shard's worth of concurrent solves, or a remote cache tier's
+worth of lookups, runs over a single connection.
 
 Two solve entry points:
 
@@ -67,8 +67,6 @@ from repro.service.protocol import (
     ProtocolError,
     SolveRequest,
     StatsReply,
-    WaveSteal,
-    WaveTasks,
     read_frame,
     write_frame,
 )
@@ -378,19 +376,6 @@ class MultiplexedClient:
         return self._call(
             CacheReply, CachePut, layer=layer, key=key, blob=blob
         ).stored
-
-    def wave_steal(self, max_items: int = 4) -> list[tuple[str, str]]:
-        """Claim published score-wave tasks from the server's steal board.
-
-        Returns ``(simulation key, base64-pickled ScoreTask)`` pairs --
-        possibly empty when the server has nothing published.  Like
-        :meth:`cache_get`, decoding (and type-guarding) the blobs is
-        the caller's job; see
-        :func:`repro.service.worker.steal_from_peer` for the full
-        steal-execute-return loop.
-        """
-        reply = self._call(WaveTasks, WaveSteal, max_items=max_items)
-        return [(key, blob) for key, blob in reply.tasks]
 
 
 def fetch_stats(address: str, timeout: float | None = 10.0) -> dict:

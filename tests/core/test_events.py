@@ -136,6 +136,23 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="unknown event kind"):
             Event.from_json({"kind": "no-such-event"})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "wave-scheduled", "phase": "score", "width": 4,
+             "items": 8, "adaptive": False},
+            {"kind": "speculation-outcome", "launched": 3, "used": 2,
+             "mispredicted": 1, "already_cached": 0},
+        ],
+        ids=["wave-scheduled", "speculation-outcome"],
+    )
+    def test_retired_scheduler_kinds_are_unknown(self, payload):
+        """The batch telemetry of the deleted rollout scheduler decodes
+        like any other unknown kind: a ValueError, not a stray event."""
+        assert payload["kind"] not in EVENT_TYPES
+        with pytest.raises(ValueError, match="unknown event kind"):
+            Event.from_json(payload)
+
     def test_missing_required_field_raises_value_error(self):
         with pytest.raises(ValueError, match="bad 'run-started'"):
             Event.from_json({"kind": "run-started", "system": "mage"})

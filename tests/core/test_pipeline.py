@@ -17,7 +17,6 @@ from repro.core.pipeline import (
     Stage,
     resume_program,
     restore_state,
-    stage_before,
     start_program,
 )
 from repro.core.task import DesignTask
@@ -204,12 +203,34 @@ class TestRunProgram:
         with pytest.raises(ValueError):
             resume_program(RunState())
 
-    def test_stage_before(self):
-        pipe = _program_pipeline()
-        assert stage_before(pipe, "b") == "a"
-        assert stage_before(pipe, "a") is None
-        with pytest.raises(ValueError):
-            stage_before(pipe, "zz")
+    @pytest.mark.parametrize("key", ["origen", "veriassist", "aivril"])
+    def test_baseline_program_resumes_after_every_stage(self, key):
+        """A baseline whose ``solve`` drives its own program pauses after
+        any stage, survives a pickle round-trip, and resumes to the
+        uninterrupted run's source and event stream."""
+        from repro.baselines.registry import SYSTEMS
+
+        def canonical(events):
+            payloads = [event.to_json() for event in events]
+            for payload in payloads:
+                payload.pop("seconds", None)
+            return payloads
+
+        task = DesignTask.from_problem(get_problem("fs_vending"))
+        full_sink = ListSink()
+        full = SYSTEMS[key].factory().solve(task, seed=2, sink=full_sink)
+        program = SYSTEMS[key].factory().start_run(task, seed=2)
+        paused_mid_run = 0
+        for stop in program.pipeline().stage_names()[:-1]:
+            sink = ListSink()
+            paused = SYSTEMS[key].factory().start_run(task, seed=2)
+            paused.advance(sink=sink, stop_after=stop)
+            paused_mid_run += not paused.finished
+            resumed = resume_program(restore_state(paused.state.snapshot()))
+            resumed.advance(sink=sink)
+            assert resumed.source() == full, stop
+            assert canonical(sink.events) == canonical(full_sink.events), stop
+        assert paused_mid_run > 0
 
 
 class TestMagePipeline:
@@ -243,6 +264,28 @@ class TestMagePipeline:
         assert result.internal_score == full.internal_score
         assert result.transcript.render() == full.transcript.render()
         assert result.transcript.llm_calls == full.transcript.llm_calls
+
+    def test_resume_after_step4_is_deterministic(self):
+        """Pause between sampling and debugging (the one boundary the
+        early-stage cases above never cross): Step 5 resumes from the
+        pickled ranked candidates to the uninterrupted result."""
+        problem = get_problem("ar_addsub8")  # reaches Step-5 debugging
+        task = DesignTask.from_problem(problem)
+        full = MAGE(MAGEConfig.high_temperature()).solve(task, seed=2)
+        assert full.transcript.stage_reached == "step5"
+
+        engine = MAGE(MAGEConfig.high_temperature())
+        ck = MemoryCheckpointer()
+        state = engine.start_state(task, seed=2)
+        run_mage_state(state, stop_after="step4", checkpoint=ck)
+        assert not ck.restore().finished
+
+        resumed = ck.restore()
+        run_mage_state(resumed)
+        result = mage_result(resumed)
+        assert result.source == full.source
+        assert result.internal_score == full.internal_score
+        assert result.transcript.render() == full.transcript.render()
 
     def test_resume_direct_pass_short_circuit(self):
         """A run that finishes in step3 resumes to the same early finish."""

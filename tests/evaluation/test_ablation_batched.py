@@ -2,9 +2,10 @@
 
 The Table III arms and the Fig. 3/4 config switches were only ever
 exercised through the serial path; these tests drive them through
-``evaluate_many`` with rollout batching and the solve-cell cache, and
-check the figure collectors fold identical series out of live, batched,
-and cache-replayed event streams.
+``evaluate_many`` on thread and process pools and through the
+solve-cell cache,
+and check the figure collectors fold identical series out of serial,
+thread-scored, and cache-replayed event streams.
 """
 
 from functools import partial
@@ -14,7 +15,7 @@ import pytest
 from repro.baselines.registry import MAGESystem
 from repro.core.events import ListSink
 from repro.core.task import DesignTask
-from repro.evalsets import get_problem, golden_testbench
+from repro.evalsets import get_problem
 from repro.evaluation.ablation import (
     TABLE3_ARMS,
     checkpoint_ablation_configs,
@@ -27,15 +28,20 @@ from repro.runtime.cache import (
     SolveCellCache,
     system_fingerprint,
 )
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
-from repro.runtime.rollout import RolloutRequest, RolloutScheduler
+from repro.runtime.context import RuntimeContext, runtime_session
+from repro.runtime.executor import (
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+)
+from repro.runtime.workers import solve_streaming
 
 PROBLEMS = [get_problem("cb_kmap_mux"), get_problem("fs_vending")]
 
 
 class TestAblationArmsBatched:
     @pytest.mark.parametrize("arm", TABLE3_ARMS, ids=lambda a: a.key)
-    def test_arm_rows_identical_serial_vs_rollout(self, arm):
+    def test_arm_rows_identical_serial_vs_thread(self, arm):
         with SerialExecutor() as executor:
             serial, _ = evaluate_many(
                 arm.factory,
@@ -46,21 +52,40 @@ class TestAblationArmsBatched:
                 cache=SimulationCache(),
             )
         with ThreadExecutor(2) as executor:
-            batched, _ = evaluate_many(
+            threaded, _ = evaluate_many(
                 arm.factory,
                 "verilogeval-v2",
                 runs=2,
                 problems=PROBLEMS,
                 executor=executor,
                 cache=SimulationCache(),
-                rollout_batch=4,
             )
-        assert batched.outcomes == serial.outcomes
+        assert threaded.outcomes == serial.outcomes
+
+    @pytest.mark.parametrize("arm", TABLE3_ARMS, ids=lambda a: a.key)
+    def test_arm_rows_identical_serial_vs_process(self, arm):
+        """Every arm's cells cross the process boundary (no thread
+        fallback) and come back with the serial rows."""
+        grids = []
+        for executor in (SerialExecutor(), ProcessExecutor(2)):
+            with executor:
+                result, _ = evaluate_many(
+                    arm.factory,
+                    "verilogeval-v2",
+                    runs=2,
+                    problems=PROBLEMS,
+                    executor=executor,
+                    cache=SimulationCache(),
+                )
+                assert getattr(executor, "fallbacks", 0) == 0
+            grids.append(result)
+        serial, across_processes = grids
+        assert across_processes.outcomes == serial.outcomes
 
     @pytest.mark.parametrize("arm", TABLE3_ARMS, ids=lambda a: a.key)
     def test_arm_is_solve_cacheable(self, arm):
         """Every Table III arm has a stable fingerprint, and a repeated
-        batched sweep re-serves all its cells from the solve cache."""
+        sweep re-serves all its cells from the solve cache."""
         assert system_fingerprint(arm.factory) is not None
         solve_cache = SolveCellCache()
         passes = []
@@ -74,7 +99,6 @@ class TestAblationArmsBatched:
                     executor=executor,
                     cache=SimulationCache(),
                     solve_cache=solve_cache,
-                    rollout_batch=4,
                 )
             passes.append((result, report))
         (cold, cold_report), (warm, warm_report) = passes
@@ -87,7 +111,7 @@ class TestAblationArmsBatched:
         [checkpoint_ablation_configs, sampling_ablation_configs],
         ids=["checkpoints", "sampling"],
     )
-    def test_config_switch_grids_identical_under_rollout(self, configs):
+    def test_config_switch_grids_identical_under_threads(self, configs):
         for label, config in configs().items():
             factory = partial(MAGESystem, config)
             with SerialExecutor() as executor:
@@ -102,7 +126,7 @@ class TestAblationArmsBatched:
                     name=label,
                 )
             with ThreadExecutor(2) as executor:
-                batched, _ = evaluate_many(
+                threaded, _ = evaluate_many(
                     factory,
                     "verilogeval-v2",
                     runs=1,
@@ -111,9 +135,34 @@ class TestAblationArmsBatched:
                     executor=executor,
                     cache=SimulationCache(),
                     name=label,
-                    rollout_batch=4,
                 )
-            assert batched.outcomes == serial.outcomes, label
+            assert threaded.outcomes == serial.outcomes, label
+
+
+    @pytest.mark.parametrize(
+        "configs",
+        [checkpoint_ablation_configs, sampling_ablation_configs],
+        ids=["checkpoints", "sampling"],
+    )
+    def test_config_switch_grids_identical_under_processes(self, configs):
+        with ProcessExecutor(2) as pool:
+            for label, config in configs().items():
+                factory = partial(MAGESystem, config)
+                rows = []
+                for executor in (SerialExecutor(), pool):
+                    result, _ = evaluate_many(
+                        factory,
+                        "verilogeval-v2",
+                        runs=1,
+                        seed0=2,
+                        problems=PROBLEMS,
+                        executor=executor,
+                        cache=SimulationCache(),
+                        name=label,
+                    )
+                    rows.append(result.outcomes)
+                assert rows[1] == rows[0], label
+            assert pool.fallbacks == 0
 
 
 class TestFiguresFromBatchedStreams:
@@ -130,30 +179,22 @@ class TestFiguresFromBatchedStreams:
             series.rounds,
         )
 
-    def test_series_from_rollout_equals_serial(self):
-        """Fig. 4 collectors read identical series out of a batched
-        run's event stream and a serial run's."""
+    def test_series_from_threaded_scoring_equals_serial(self):
+        """Fig. 4 collectors read identical series out of a run whose
+        candidate and trial scoring fanned across a thread pool and a
+        serial run's."""
         problem = get_problem("fs_vending")
+        task = DesignTask.from_problem(problem)
         serial_sink = ListSink()
-        MAGESystem().solve(
-            DesignTask.from_problem(problem), seed=2, sink=serial_sink
-        )
-        request = RolloutRequest(
-            index=0,
-            factory=MAGESystem,
-            problem=problem,
-            golden_tb=golden_testbench(problem),
-            seed=2,
-        )
+        MAGESystem().solve(task, seed=2, sink=serial_sink)
+        threaded_sink = ListSink()
         with ThreadExecutor(2) as executor:
-            scheduler = RolloutScheduler(
-                executor=executor, cache=SimulationCache()
-            )
-            result = scheduler.run([request])[0]
-        assert result.error is None
+            context = RuntimeContext(executor=executor, cache=SimulationCache())
+            with runtime_session(context=context):
+                MAGESystem().solve(task, seed=2, sink=threaded_sink)
         serial = self._series([serial_sink.events])
-        batched = self._series([result.events])
-        assert self._snapshot(batched) == self._snapshot(serial)
+        threaded = self._series([threaded_sink.events])
+        assert self._snapshot(threaded) == self._snapshot(serial)
         # The run entered Step 4, so the figure actually has data.
         assert serial.initial_scores and serial.sampled_best_scores
 
@@ -161,25 +202,22 @@ class TestFiguresFromBatchedStreams:
         """A solve-cell cache hit replays a stream the collectors fold
         into exactly the live series (warm sweeps can draw figures)."""
         problem = get_problem("fs_vending")
-        factory = MAGESystem
         solve_cache = SolveCellCache()
-        scheduler = RolloutScheduler(
-            executor=SerialExecutor(),
-            cache=SimulationCache(),
-            solve_cache=solve_cache,
-        )
-        fingerprint = system_fingerprint(factory)
-        request = RolloutRequest(
-            index=0,
-            factory=factory,
-            problem=problem,
-            golden_tb=golden_testbench(problem),
-            seed=2,
-            fingerprint=fingerprint,
-        )
-        cold = scheduler.run([request])[0]
-        warm = scheduler.run([request])[0]
-        assert not cold.solve_cached and warm.solve_cached
-        assert self._snapshot(self._series([warm.events])) == self._snapshot(
-            self._series([cold.events])
+        fingerprint = system_fingerprint(MAGESystem)
+        streams = []
+        for _ in range(2):
+            sink = ListSink()
+            _, cached = solve_streaming(
+                MAGESystem,
+                problem,
+                2,
+                sink=sink,
+                solve_cache=solve_cache,
+                fingerprint=fingerprint,
+            )
+            streams.append((cached, sink.events))
+        (cold_cached, cold), (warm_cached, warm) = streams
+        assert not cold_cached and warm_cached
+        assert self._snapshot(self._series([warm])) == self._snapshot(
+            self._series([cold])
         )

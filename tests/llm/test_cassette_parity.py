@@ -1,6 +1,7 @@
 """Cassette determinism matrix: record once with the simllm-backed
 gateway, then replay -- with the network path stubbed to a backend that
-always raises -- across {serial, rollout-batched, service} execution.
+always raises -- across {serial, thread grid, process grid, service}
+execution.
 Every replay stream must be bit-identical to the recording run's
 (wall-clock ``seconds`` zeroed, per the parity convention)."""
 
@@ -9,10 +10,17 @@ import pytest
 from repro.baselines.registry import SYSTEMS
 from repro.core.events import ListSink
 from repro.core.task import DesignTask
-from repro.evalsets import get_problem, golden_testbench
-from repro.llm.gateway import GATEWAY_STATS, GatewaySettings
-from repro.runtime.executor import ThreadExecutor
-from repro.runtime.rollout import RolloutRequest, RolloutScheduler
+from repro.evalsets import get_problem
+from repro.llm.gateway import GATEWAY_STATS
+from repro.runtime import (
+    ProcessExecutor,
+    SimulationCache,
+    SolveCellCache,
+    ThreadExecutor,
+    evaluate_many,
+    solve_cell_key,
+    system_fingerprint,
+)
 from repro.service import MultiplexedClient, SolveServer
 
 SYSTEM_KEYS = ["mage", "vanilla-claude"]
@@ -101,36 +109,41 @@ class TestSerialReplay:
         assert stats["cost"] == 0.0
 
 
-class TestRolloutReplay:
-    def test_batched_replay_matches_the_recording(self, cassette):
-        directory, reference = cassette
-        settings = GatewaySettings.from_env()
-        assert settings.mode == "replay"
-        sinks = {}
-        requests = []
-        for index, problem_id in enumerate(PROBLEM_IDS):
-            problem = get_problem(problem_id)
-            sinks[problem_id] = ListSink()
-            requests.append(
-                RolloutRequest(
-                    index=index,
-                    factory=SYSTEMS["mage"].factory,
-                    problem=problem,
-                    golden_tb=golden_testbench(problem),
-                    seed=SEED,
-                    sink=sinks[problem_id],
-                )
+class TestGridReplay:
+    @pytest.mark.parametrize("executor_kind", ["thread", "process"])
+    def test_grid_replay_matches_the_recording(
+        self, executor_kind, cassette, tmp_path
+    ):
+        """An ``evaluate_many`` grid pins the replay gateway on every
+        cell, so pool threads and worker processes alike replay the
+        recorded streams without reaching the down backend."""
+        _, reference = cassette
+        factory = SYSTEMS["mage"].factory
+        directory = str(tmp_path / "solve")
+        executor = (
+            ThreadExecutor(2) if executor_kind == "thread" else ProcessExecutor(2)
+        )
+        with executor:
+            evaluate_many(
+                factory,
+                "verilogeval-v2",
+                runs=1,
+                seed0=SEED,
+                problems=[get_problem(problem_id) for problem_id in PROBLEM_IDS],
+                executor=executor,
+                cache=SimulationCache(),
+                solve_cache=SolveCellCache(directory),
             )
-        with ThreadExecutor(2) as executor:
-            scheduler = RolloutScheduler(
-                executor=executor, batch=4, gateway=settings
+            assert getattr(executor, "fallbacks", 0) == 0
+        recorded = SolveCellCache(directory)
+        fingerprint = system_fingerprint(factory)
+        for problem_id in PROBLEM_IDS:
+            record = recorded.get(
+                solve_cell_key(fingerprint, get_problem(problem_id), SEED)
             )
-            results = scheduler.run(requests)
-        for result, problem_id in zip(results, PROBLEM_IDS):
-            assert result.error is None
             ref_source, ref_events = reference[("mage", problem_id)]
-            assert result.source == ref_source
-            assert canonical(sinks[problem_id].events) == ref_events
+            assert record.source == ref_source
+            assert canonical(record.events) == ref_events
 
 
 class TestServiceReplay:

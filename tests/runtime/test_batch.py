@@ -1,5 +1,6 @@
 """Batch evaluation: serial-vs-parallel parity, stats, progress."""
 
+import time
 from functools import partial
 
 import pytest
@@ -263,3 +264,98 @@ class TestProgressAndName:
     def test_registry_unknown_key(self):
         with pytest.raises(KeyError):
             evaluate_registered("martian")
+
+
+class _SinklessSystem:
+    """A system whose ``solve`` takes no event sink."""
+
+    name = "sinkless"
+
+    def solve(self, task, seed=0):
+        return (
+            f"module {task.top}(input a, output y);\n"
+            "  assign y = a;\nendmodule\n"
+        )
+
+
+class _BoomSystem:
+    name = "boom"
+
+    def solve(self, task, seed=0):
+        raise RuntimeError("kaboom")
+
+
+class _SlowFirstSystem:
+    """Echo system whose first suite problem finishes last."""
+
+    name = "slow-first"
+
+    def solve(self, task, seed=0):
+        if task.name == MIXED[0].id:
+            time.sleep(0.5)
+        return (
+            f"module {task.top}(input a, output y);\n"
+            "  assign y = a;\nendmodule\n"
+        )
+
+
+class TestCellContract:
+    def test_system_without_sink_still_evaluates(self):
+        result, report = evaluate_many(
+            _SinklessSystem,
+            "verilogeval-v2",
+            runs=1,
+            problems=[get_problem("cb_mux2")],
+            executor=SerialExecutor(),
+            events=lambda event: None,
+        )
+        assert report.cells == 1
+        assert result.outcomes[0].runs == 1
+
+    def test_system_without_sink_evaluates_across_processes(self):
+        with ProcessExecutor(2) as executor:
+            result, report = evaluate_many(
+                _SinklessSystem,
+                "verilogeval-v2",
+                runs=2,
+                problems=[get_problem("cb_mux2")],
+                executor=executor,
+            )
+            assert executor.fallbacks == 0
+        assert report.cells == 2
+        assert result.outcomes[0].runs == 2
+
+    def test_rows_follow_the_suite_not_completion_order(self):
+        finished = []
+        with ThreadExecutor(3) as executor:
+            result, _ = evaluate_many(
+                _SlowFirstSystem,
+                "verilogeval-v2",
+                runs=1,
+                problems=MIXED,
+                executor=executor,
+                name="slow-first",
+                events=lambda event: finished.append(
+                    getattr(event, "problem_id", None)
+                ),
+            )
+        assert finished[0] != MIXED[0].id  # the first problem came in late
+        assert [o.problem_id for o in result.outcomes] == [p.id for p in MIXED]
+
+    @pytest.mark.parametrize("jobs", [1, 2, "process"])
+    def test_cell_failure_raises_the_original_exception(self, jobs):
+        if jobs == "process":
+            executor = ProcessExecutor(2)
+        elif jobs == 1:
+            executor = SerialExecutor()
+        else:
+            executor = ThreadExecutor(jobs)
+        with executor, pytest.raises(RuntimeError, match="kaboom"):
+            evaluate_many(
+                _BoomSystem,
+                "verilogeval-v2",
+                runs=1,
+                problems=[get_problem("cb_mux2")],
+                executor=executor,
+                name="boom",
+            )

@@ -11,7 +11,9 @@ to a seeded-random sweep with the identical checks where it is not
 (CI installs only numpy + pytest)."""
 
 import io
+import json
 import random
+import socket
 import struct
 
 import pytest
@@ -29,6 +31,7 @@ from repro.service.protocol import (
     encode_frame,
     read_frame,
 )
+from repro.service import MultiplexedClient, SolveServer, parse_address
 
 try:
     from hypothesis import given, settings
@@ -218,3 +221,42 @@ def test_version_skew_is_refused():
 def test_current_version_is_supported():
     """The wire bytes did not change when v1/v2 were retired: v3."""
     assert PROTOCOL_VERSION == 3
+
+
+# The work-stealing conversation is gone from v3: a not-yet-upgraded
+# peer may still send these, and they must be refused like any other
+# unknown frame -- typed, and without taking the server down.
+RETIRED_PAYLOADS = [
+    {"v": PROTOCOL_VERSION, "type": "wave_steal", "id": 4, "max_items": 4},
+    {"v": PROTOCOL_VERSION, "type": "wave_tasks", "id": 4, "tasks": []},
+]
+
+
+@pytest.mark.parametrize(
+    "payload", RETIRED_PAYLOADS, ids=lambda p: p["type"]
+)
+def test_retired_frame_types_are_unknown(payload):
+    with pytest.raises(ProtocolError) as caught:
+        decode_payload_versioned(json.dumps(payload).encode())
+    assert str(caught.value) == f"unknown frame type {payload['type']!r}"
+
+
+@pytest.mark.parametrize(
+    "payload", RETIRED_PAYLOADS, ids=lambda p: p["type"]
+)
+def test_live_server_refuses_retired_frames_and_keeps_serving(payload):
+    body = json.dumps(payload).encode()
+    with SolveServer(workers=1) as server:
+        with socket.create_connection(
+            parse_address(server.address), timeout=30
+        ) as sock:
+            sock.sendall(_HEADER.pack(len(body)) + body)
+            with sock.makefile("rb") as stream:
+                reply = read_frame(stream)
+                assert read_frame(stream) is None  # connection closed
+        assert isinstance(reply, ErrorFrame)
+        assert "unknown frame type" in reply.message
+        assert payload["type"] in reply.message
+        with MultiplexedClient(server.address) as client:
+            assert client.ping()
+            assert client.solve("vanilla-claude", "cb_mux2", seed=1).source

@@ -90,6 +90,32 @@ class TestSolveStream:
         with MultiplexedClient(server.address) as client:
             with pytest.raises(ServiceError, match="unknown system"):
                 client.solve("martian", "cb_mux2")
+            # Only that request failed: the connection keeps serving.
+            assert client.solve("mage", "cb_mux2", seed=1).source
+
+    def test_unknown_system_fails_only_its_job(self, server):
+        """An unknown system fails its own request while a concurrent
+        solve on the same multiplexed connection completes."""
+        errors = []
+        with MultiplexedClient(server.address) as client:
+
+            def bad_submit():
+                try:
+                    client.solve("martian", "cb_mux2")
+                except ServiceError as error:
+                    errors.append(str(error))
+
+            bad = threading.Thread(target=bad_submit)
+            bad.start()
+            outcome = client.solve("mage", "fs_vending", seed=2)
+            bad.join(timeout=60)
+            assert not bad.is_alive()
+            assert client.ping()
+        assert len(errors) == 1 and "unknown system" in errors[0]
+        local = SYSTEMS["mage"].factory().solve(
+            DesignTask.from_problem(get_problem("fs_vending")), seed=2
+        )
+        assert outcome.source == local
 
     def test_unknown_problem_is_an_error_frame(self, server):
         with MultiplexedClient(server.address) as client:
@@ -172,21 +198,15 @@ class TestInFlightDedup:
             assert stream.events == reference
 
 
-class TestRolloutBatchingMode:
-    @pytest.fixture()
-    def rollout_server(self):
-        with SolveServer(workers=1, rollout_batch=3) as live:
-            yield live
-
-    def test_concurrent_distinct_cells_share_a_batch(self, rollout_server):
-        """Gang-scheduling three dedup-distinct cells produces the same
-        outcomes a plain worker would, one pipeline execution each."""
+    def test_concurrent_distinct_cells_execute_once_each(self, server):
+        """Distinct cells in flight together each run one pipeline and
+        produce exactly the source a local solve does."""
         ids = ["cb_mux2", "cb_kmap_mux", "fs_vending"]
         outcomes = {}
         barrier = threading.Barrier(len(ids))
 
         def submit(problem_id):
-            with MultiplexedClient(rollout_server.address) as client:
+            with MultiplexedClient(server.address) as client:
                 barrier.wait()
                 outcomes[problem_id] = client.solve(
                     "mage", problem_id, seed=3
@@ -200,43 +220,11 @@ class TestRolloutBatchingMode:
         for thread in threads:
             thread.join(timeout=120)
         assert set(outcomes) == set(ids)
-        assert rollout_server.executed_count() == len(ids)
+        assert server.executed_count() == len(ids)
         for problem_id in ids:
             system = SYSTEMS["mage"].factory()
             task = DesignTask.from_problem(get_problem(problem_id))
             assert outcomes[problem_id].source == system.solve(task, seed=3)
-
-    def test_duplicates_still_execute_once_under_batching(self, rollout_server):
-        clients = 3
-        outcomes = [None] * clients
-        barrier = threading.Barrier(clients)
-
-        def submit(index):
-            with MultiplexedClient(rollout_server.address) as client:
-                barrier.wait()
-                outcomes[index] = client.solve("mage", "fs_vending", seed=7)
-
-        threads = [
-            threading.Thread(target=submit, args=(i,)) for i in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert all(o is not None for o in outcomes)
-        assert rollout_server.executed_count() == 1
-        assert len({o.source for o in outcomes}) == 1
-
-    def test_unknown_system_fails_only_its_job(self, rollout_server):
-        with MultiplexedClient(rollout_server.address) as client:
-            with pytest.raises(ServiceError, match="unknown system"):
-                client.solve("martian", "cb_mux2")
-            assert client.solve("mage", "cb_mux2", seed=1).source
-
-    def test_stats_report_batching_mode(self, rollout_server):
-        with MultiplexedClient(rollout_server.address) as client:
-            stats = client.stats()
-        assert stats["rollout_batch"] == 3
 
 
 class TestLifecycle:

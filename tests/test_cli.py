@@ -234,77 +234,57 @@ class TestCliRuntime:
         assert "hit-rate 100.0%" in out  # warm pass saw the cold pass's work
 
 
-def _event_lines(text: str) -> list[str]:
-    return [line for line in text.splitlines() if line.startswith("  | ")]
+class TestCliExecutors:
+    """Every executor yields the ``--jobs 1`` row (the CI executor
+    smoke in test form), and the flags of the deleted scheduler are
+    refused rather than silently ignored."""
 
+    ARGV = ["eval", "mage", "--runs", "2", "--limit", "3"]
 
-class TestCliRollout:
-    def test_eval_rollout_row_matches_serial(self, capsys):
-        argv = ["eval", "mage", "--runs", "2", "--limit", "3"]
-        assert main(argv) == 0
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_eval_executor_row_matches_serial(self, capsys, executor):
+        assert main(self.ARGV + ["--jobs", "1"]) == 0
         serial_row = capsys.readouterr().out.splitlines()[0]
-        assert main(argv + ["--rollout-batch", "4"]) == 0
-        rollout_row = capsys.readouterr().out.splitlines()[0]
-        assert rollout_row == serial_row
+        argv = self.ARGV + ["--jobs", "2", "--executor", executor]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == serial_row
 
-    def test_eval_rollout_verbose_reports_executor(self, capsys):
+    def test_eval_verbose_reports_executor(self, capsys):
         argv = [
             "eval", "mage", "--runs", "1", "--limit", "2",
-            "--rollout-batch", "4", "--verbose",
+            "--jobs", "2", "--executor", "thread", "--verbose",
         ]
         assert main(argv) == 0
-        assert "rollout[4]" in capsys.readouterr().out
+        assert "thread[2]" in capsys.readouterr().out
 
-    def test_eval_rollout_rejected_with_service(self, capsys):
-        argv = [
-            "eval", "mage", "--limit", "1",
-            "--service", "127.0.0.1:1", "--rollout-batch", "2",
-        ]
-        assert main(argv) == 2
-        assert "--rollout-batch" in capsys.readouterr().out
-
-    def test_bench_rollout_writes_gate_file(self, capsys, tmp_path):
-        # No --min-speedup here: wall-clock gates belong to the CI bench
-        # step, where the run is not contending with the test suite.
-        out_path = tmp_path / "BENCH_rollout.json"
-        argv = [
-            "bench", "mage", "--runs", "2", "--limit", "4", "--rollout",
-            "--rollout-batch", "4", "--bench-out", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "rollout[4]" in out
-        assert "deterministic   yes" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["rollout_batch"] == 4
-        assert payload["deterministic"] is True
-        # The misleading single "speedup" key is gone: cold- and
-        # warm-relative speedups are recorded explicitly.
-        assert "speedup" not in payload and "batching_speedup" not in payload
-        assert payload["speedup_vs_cold"] > 0
-        assert payload["speedup_vs_warm"] > 0
-        assert payload["jobs"] >= 1  # resolved fan-out is reported
-        # Fixed widths leave speculation off; the key is still present.
-        assert payload["speculation"].get("launched", 0) == 0
-        assert payload["cache_hit_rate"] == 1.0  # warm pass fully served
-
-    def test_bench_rollout_rejected_with_service(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--service", "--rollout"]
-        assert main(argv) == 2
-        assert "--rollout" in capsys.readouterr().out
-
-    def test_bench_rollout_batch_requires_rollout(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--rollout-batch", "4"]
-        assert main(argv) == 2
-        assert "--rollout-batch only applies" in capsys.readouterr().out
-
-    def test_serve_rollout_batch_flag_wired(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "mage", "--rollout-batch", "4"],
+            ["serve", "--rollout-batch", "4"],
+            ["serve", "--steal-peer", "127.0.0.1:1"],
+            ["bench", "mage", "--rollout"],
+            ["bench", "mage", "--rollout-batch", "4"],
+        ],
+        ids=[
+            "eval-rollout-batch",
+            "serve-rollout-batch",
+            "serve-steal-peer",
+            "bench-rollout",
+            "bench-rollout-batch",
+        ],
+    )
+    def test_retired_scheduler_flags_are_refused(self, capsys, argv):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["serve", "--rollout-batch", "3"])
-        assert args.rollout_batch == 3
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _event_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.startswith("  | ")]
 
 
 class TestCliServiceMode:
@@ -520,8 +500,8 @@ class TestCliCacheFabric:
         assert main(argv) == 2
         assert "--peer-cache" in capsys.readouterr().out
 
-    def test_bench_peer_cache_rejected_with_rollout(self, capsys):
-        argv = ["bench", "mage", "--limit", "1", "--peer-cache", "--rollout"]
+    def test_bench_peer_cache_rejected_with_repeat(self, capsys):
+        argv = ["bench", "mage", "--limit", "1", "--peer-cache", "--repeat", "3"]
         assert main(argv) == 2
         assert "cannot be combined with --peer-cache" in capsys.readouterr().out
 
